@@ -39,8 +39,9 @@ pub const ORDERING_ALLOWLIST: &[&str] = &[
     // Observability: sharded Relaxed statistics counters, the registry,
     // and the flight-recorder seqlock ring.
     "crates/obs/src/",
-    // Serving runtime: Relaxed service statistics and the shutdown flag;
-    // all cross-thread hand-off goes through Mutex/Condvar/RwLock.
+    // Serving runtime: Relaxed service statistics, the shutdown flag and
+    // the front-end's per-slot state word; all cross-thread hand-off goes
+    // through Mutex/Condvar/RwLock or a channel.
     "crates/serve/src/",
     // Shard router: the Relaxed shutdown latch; every other piece of
     // shared router state (boundary forest, composite cache, backends)

@@ -9,6 +9,7 @@ use afforest_baselines::{
 };
 use afforest_core::{afforest, AfforestConfig, ComponentLabels};
 use afforest_graph::{CsrGraph, Node};
+use afforest_obs::fmt_ns;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -93,17 +94,6 @@ fn write_trace(path: &str, json: &str, spans: usize, out: &mut String) -> Result
         );
     }
     Ok(())
-}
-
-/// Nanoseconds, humanized (`850ns`, `4.2us`, `1.3ms`, `2.0s`). Shared
-/// by the `top` dashboard and the `trace` tree renderer.
-fn fmt_ns(ns: u64) -> String {
-    match ns {
-        0..=999 => format!("{ns}ns"),
-        1_000..=999_999 => format!("{:.1}us", ns as f64 / 1e3),
-        1_000_000..=999_999_999 => format!("{:.1}ms", ns as f64 / 1e6),
-        _ => format!("{:.1}s", ns as f64 / 1e9),
-    }
 }
 
 /// One slow-log line (schema 1): the retained span tree of a single

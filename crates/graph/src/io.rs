@@ -99,15 +99,11 @@ pub fn read_binary<P: AsRef<Path>>(path: P) -> Result<CsrGraph> {
     let n = read_u64(&mut r)? as usize;
     let arcs = read_u64(&mut r)? as usize;
     let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        offsets.push(read_u64(&mut r)? as usize);
-    }
+    read_le(&mut r, n + 1, |b| {
+        offsets.push(u64::from_le_bytes(b) as usize)
+    })?;
     let mut targets = Vec::with_capacity(arcs);
-    let mut buf = [0u8; 4];
-    for _ in 0..arcs {
-        r.read_exact(&mut buf)?;
-        targets.push(Node::from_le_bytes(buf));
-    }
+    read_le(&mut r, arcs, |b| targets.push(Node::from_le_bytes(b)))?;
     if offsets.last().copied() != Some(arcs) {
         return Err(Error::malformed(
             "AFCSR",
@@ -115,6 +111,28 @@ pub fn read_binary<P: AsRef<Path>>(path: P) -> Result<CsrGraph> {
         ));
     }
     CsrGraph::try_from_parts(offsets, targets)
+}
+
+/// Reads `count` little-endian `W`-byte values 64 KiB at a time: a
+/// `read_exact` per value costs a call per value wherever the compiler
+/// does not inline it, which varies from build to build.
+fn read_le<const W: usize>(
+    r: &mut impl Read,
+    count: usize,
+    mut each: impl FnMut([u8; W]),
+) -> io::Result<()> {
+    let mut buf = [0u8; 1 << 16];
+    let mut left = count;
+    while left > 0 {
+        let take = left.min(buf.len() / W);
+        let bytes = &mut buf[..take * W];
+        r.read_exact(bytes)?;
+        for value in bytes.chunks_exact(W) {
+            each(value.try_into().expect("chunks_exact yields W bytes"));
+        }
+        left -= take;
+    }
+    Ok(())
 }
 
 fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {

@@ -57,6 +57,7 @@ pub mod json;
 mod recorder;
 pub mod registry;
 pub mod reqtrace;
+pub mod seqring;
 mod trace;
 
 pub use trace::{base_of, Histogram, PhaseTotal, SpanRecord, Trace};
@@ -169,6 +170,17 @@ pub fn active() -> bool {
     #[cfg(not(feature = "enabled"))]
     {
         false
+    }
+}
+
+/// Nanoseconds, humanized (`850ns`, `4.2us`, `1.3ms`, `2.0s`), for the
+/// CLI's dashboards and trace trees and the load generator's report.
+pub fn fmt_ns(ns: u64) -> String {
+    match ns {
+        0..=999 => format!("{ns}ns"),
+        1_000..=999_999 => format!("{:.1}us", ns as f64 / 1e3),
+        1_000_000..=999_999_999 => format!("{:.1}ms", ns as f64 / 1e6),
+        _ => format!("{:.1}s", ns as f64 / 1e9),
     }
 }
 

@@ -19,9 +19,9 @@
 //!   taxonomy ([`STAGE_NAMES`]); the analysis lint checks the taxonomy
 //!   against the DESIGN.md §16 stage table, so docs cannot drift.
 //! - **The span ring.** Retained spans land in a per-process lock-free
-//!   seqlock ring ([`SpanRing`]), the same odd/even stamp protocol as
-//!   `flight.rs`: writers never block, readers discard torn slots. The
-//!   `DumpTraces` wire op snapshots it remotely.
+//!   seqlock ring ([`SpanRing`]), the same [`SeqRing`] the flight
+//!   recorder uses: writers never block, readers discard torn slots.
+//!   The `DumpTraces` wire op snapshots it remotely.
 //! - **Tail sampling.** Request-thread spans are buffered thread-local
 //!   under a [`RootSpan`]; when the root completes, the whole tree is
 //!   kept only if the request was *slow* (total duration ≥ the
@@ -40,13 +40,14 @@
 //! service must not require a special build, and the disabled path is
 //! one branch.
 
+use crate::seqring::SeqRing;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Slots in the per-process span ring (power of two).
-pub const CAPACITY: usize = 1024;
+pub use crate::seqring::CAPACITY;
 
 /// Number of stage tags in the taxonomy.
 pub const STAGES: usize = 10;
@@ -193,55 +194,24 @@ impl Span {
     }
 }
 
-const FIELDS: usize = 7;
-
-struct Slot {
-    /// Seqlock stamp: `2*seq + 1` while a writer owns the slot,
-    /// `2*seq + 2` once the write is complete, 0 = never written.
-    stamp: AtomicU64,
-    fields: [AtomicU64; FIELDS],
-}
-
-impl Slot {
-    fn empty() -> Slot {
-        Slot {
-            stamp: AtomicU64::new(0),
-            fields: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-/// Lock-free ring of the most recent retained spans, same seqlock
-/// protocol as `flight::Ring`: `record` never blocks and never
-/// allocates; `snapshot` double-reads each slot's stamp and discards
-/// torn entries. A writer lapped mid-`snapshot` costs a dropped slot,
-/// never a torn one.
+/// Lock-free ring of the most recent retained spans: a
+/// [`SeqRing`] of seven-word records, so `record` never blocks and
+/// never allocates, and `snapshot` discards torn slots. A writer lapped
+/// mid-`snapshot` costs a dropped slot, never a torn one.
+#[derive(Default)]
 pub struct SpanRing {
-    cursor: AtomicU64,
-    slots: Box<[Slot]>,
-}
-
-impl Default for SpanRing {
-    fn default() -> Self {
-        Self::new()
-    }
+    ring: SeqRing<7>,
 }
 
 impl SpanRing {
     /// An empty ring of [`CAPACITY`] slots.
     pub fn new() -> SpanRing {
-        SpanRing {
-            cursor: AtomicU64::new(0),
-            slots: (0..CAPACITY).map(|_| Slot::empty()).collect(),
-        }
+        SpanRing::default()
     }
 
     /// Records one span, overwriting the oldest slot once full.
     pub fn record(&self, s: Span) {
-        let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(seq as usize) % CAPACITY];
-        slot.stamp.store(2 * seq + 1, Ordering::Release);
-        let fields = [
+        self.ring.record([
             s.trace_id,
             s.span_id,
             s.parent_span,
@@ -249,49 +219,31 @@ impl SpanRing {
             s.arg,
             s.start_us,
             s.dur_ns,
-        ];
-        for (cell, v) in slot.fields.iter().zip(fields) {
-            cell.store(v, Ordering::Relaxed);
-        }
-        slot.stamp.store(2 * seq + 2, Ordering::Release);
+        ]);
     }
 
     /// Spans ever recorded (retained or since overwritten).
     pub fn recorded(&self) -> u64 {
-        self.cursor.load(Ordering::Relaxed)
+        self.ring.recorded()
     }
 
     /// Consistent copies of every completed slot, oldest first.
     pub fn snapshot(&self) -> Vec<Span> {
-        let mut out: Vec<(u64, Span)> = Vec::with_capacity(CAPACITY);
-        for slot in self.slots.iter() {
-            let before = slot.stamp.load(Ordering::Acquire);
-            if before == 0 || before % 2 == 1 {
-                continue; // never written, or a writer owns it right now
-            }
-            let mut f = [0u64; FIELDS];
-            for (v, cell) in f.iter_mut().zip(slot.fields.iter()) {
-                *v = cell.load(Ordering::Relaxed);
-            }
-            let after = slot.stamp.load(Ordering::Acquire);
-            if before != after {
-                continue; // torn: a writer lapped us mid-copy
-            }
-            out.push((
-                (before - 2) / 2,
-                Span {
-                    trace_id: f[0],
-                    span_id: f[1],
-                    parent_span: f[2],
-                    stage: f[3] as u16,
-                    arg: f[4],
-                    start_us: f[5],
-                    dur_ns: f[6],
+        self.ring
+            .snapshot()
+            .into_iter()
+            .map(
+                |(_, [trace_id, span_id, parent_span, stage, arg, start_us, dur_ns])| Span {
+                    trace_id,
+                    span_id,
+                    parent_span,
+                    stage: stage as u16,
+                    arg,
+                    start_us,
+                    dur_ns,
                 },
-            ));
-        }
-        out.sort_unstable_by_key(|(seq, _)| *seq);
-        out.into_iter().map(|(_, s)| s).collect()
+            )
+            .collect()
     }
 }
 

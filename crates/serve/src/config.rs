@@ -30,7 +30,8 @@ pub struct ServeConfig {
     pub max_total_queue_depth: usize,
     /// Most tenants the registry admits (the `default` tenant counts).
     pub max_tenants: usize,
-    /// Close a connection idle longer than this (`None` = never).
+    /// Close a connection idle longer than this (`None` = only when its
+    /// slot is needed for a new connection).
     pub read_deadline: Option<Duration>,
     /// Durability root: each tenant logs under `<wal_root>/<tenant>/`
     /// (`None` = no WAL). The `default` tenant also accepts the legacy

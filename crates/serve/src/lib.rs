@@ -20,8 +20,11 @@
 //!   process-wide admission backstop. The [`Engine`] type itself is
 //!   re-exported so embedders (the shard router) can run engines
 //!   without a TCP front-end via [`Engine::standalone`].
-//! - [`server`] — tenant lifecycle, the transport-independent request
-//!   evaluator, and a worker-pool TCP front-end over `std::net`.
+//! - [`server`] — tenant lifecycle and the transport-independent request
+//!   evaluator.
+//! - [`net`] — the TCP front-end over `std::net` that the server and the
+//!   shard router share: one acceptor, bounded connection slots with
+//!   idle eviction, per-version framing, behind a small `Handler` trait.
 //! - [`client`] — the typed protocol client: connect / per-request
 //!   methods / retry with capped jittered backoff.
 //! - [`loadgen`] — a mixed-read/write workload driver reporting
@@ -67,6 +70,7 @@ pub mod http;
 pub mod ingest;
 pub mod loadgen;
 pub mod metrics;
+pub mod net;
 pub mod protocol;
 pub mod server;
 pub mod snapshot;

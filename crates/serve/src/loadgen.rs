@@ -27,7 +27,7 @@ use crate::protocol::{Request, Response, WireError};
 use crate::server::Server;
 use crate::tenant::TenantId;
 use afforest_graph::Node;
-use afforest_obs::Histogram;
+use afforest_obs::{fmt_ns, Histogram};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
@@ -234,18 +234,6 @@ impl LoadgenReport {
                 0
             },
         )
-    }
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2} s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.1} ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.1} µs", ns as f64 / 1e3)
-    } else {
-        format!("{ns} ns")
     }
 }
 

@@ -5,49 +5,36 @@
 //! own: every snapshot store, ingest queue, and writer thread lives in a
 //! per-tenant [`crate::engine::Engine`], and the server is the
 //! [`EngineRegistry`] that routes to them plus the shared concerns — the
-//! TCP accept pool, the shutdown flag, the read deadline, the
-//! process-wide admission backstop, and tenant lifecycle (create / drop
-//! / list) itself.
+//! shutdown flag, the read deadline, the process-wide admission
+//! backstop, and tenant lifecycle (create / drop / list) itself.
 //!
-//! Wire compatibility: the TCP layer decodes *either* protocol version.
-//! A v1 frame (no tenant envelope) is routed to the `default` tenant and
-//! answered in v1; a v2 frame names its tenant and is answered in v2. A
-//! pre-tenancy client binary therefore keeps working unmodified.
+//! Wire compatibility: the TCP front-end ([`crate::net`]) decodes
+//! *either* protocol version. A v1 frame (no tenant envelope) is routed
+//! to the `default` tenant and answered in v1; a v2 frame names its
+//! tenant and is answered in v2. A pre-tenancy client binary therefore
+//! keeps working unmodified.
 //!
 //! [`Server::handle_for`] is the transport-independent request
-//! evaluator; the TCP layer and the deterministic in-process tests both
-//! go through it.
+//! evaluator; the TCP front-end and the deterministic in-process tests
+//! both go through it.
 
 use crate::config::ServeConfig;
 use crate::engine::{AdmitError, Backstop, Engine, EngineRegistry};
 use crate::events::{self, EventKind};
 use crate::ingest::ServeStats;
 use crate::metrics::{metrics, op_index};
-use crate::protocol::{
-    decode_request_traced, encode_response, encode_response_v2, read_frame, write_frame,
-    FrameError, Request, Response, StatsReport, WireError, WireVersion,
-};
+use crate::net::{self, Handler};
+use crate::protocol::{Request, Response, StatsReport};
 use crate::snapshot::Snapshot;
 use crate::tenant::TenantId;
 use crate::wal::{self, Wal, WalError};
 use afforest_core::IncrementalCc;
 use afforest_graph::Node;
-use afforest_obs::reqtrace::{self, RootSpan, Stage};
-use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use afforest_obs::reqtrace::{self, Stage};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
-
-/// How long a blocked worker sleeps between accept attempts / shutdown
-/// checks.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
-
-/// Per-connection read timeout, so a parked reader re-checks the shutdown
-/// flag. Requests are single small frames, so a timeout mid-frame only
-/// happens when the peer itself stalled mid-write.
-const READ_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Largest vertex universe a `CreateTenant` request may ask for; vertex
 /// ids are `u32`, so anything past this could never be addressed.
@@ -376,11 +363,7 @@ impl Server {
             );
         }
         match self.registry.remove(name) {
-            None => {
-                ServeStats::add(&self.default.stats().protocol_errors, 1);
-                metrics().protocol_errors.inc();
-                Response::Err(format!("no such tenant '{name}'"))
-            }
+            None => self.unknown_tenant(name),
             Some(engine) => {
                 // The map guard is long released; winding the writer down
                 // joins a thread, which must never happen under the lock.
@@ -413,150 +396,10 @@ impl Server {
         true
     }
 
-    /// Serves `listener` with a pool of `workers` accept threads until a
-    /// `Shutdown` request arrives. Each worker handles one connection at a
-    /// time, so the pool size bounds concurrent connections.
+    /// Serves `listener` with `workers` connection slots until a
+    /// `Shutdown` request arrives (see [`crate::net`]).
     pub fn serve_tcp(&self, listener: TcpListener, workers: usize) -> Result<(), ServeError> {
-        listener.set_nonblocking(true)?;
-        let mut spawn_failed = false;
-        thread::scope(|s| {
-            for i in 0..workers.max(1) {
-                let listener = &listener;
-                let spawned = thread::Builder::new()
-                    .name(format!("afforest-serve-worker-{i}"))
-                    .spawn_scoped(s, move || self.accept_loop(listener, i));
-                if spawned.is_err() {
-                    // Tell the workers that did start to exit; the scope
-                    // then joins them and we report the failure.
-                    spawn_failed = true;
-                    self.request_shutdown();
-                    break;
-                }
-            }
-        });
-        if spawn_failed {
-            return Err(ServeError::Spawn {
-                what: "accept worker",
-            });
-        }
-        Ok(())
-    }
-
-    fn accept_loop(&self, listener: &TcpListener, worker: usize) {
-        while !self.shutdown_requested() {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    // Chaos: a worker may die instead of serving. The rest
-                    // of the pool (and the listener) keep going.
-                    if let Some(f) = self.config.faults.as_deref() {
-                        if f.should_kill_worker() {
-                            metrics().worker_deaths.inc();
-                            events::record(EventKind::WorkerDeath, [worker as u64, 0, 0]);
-                            return;
-                        }
-                    }
-                    metrics().connections.inc();
-                    self.serve_connection(stream);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-                // Transient accept failure (e.g. the peer aborted the
-                // handshake): back off briefly and keep serving.
-                Err(_) => thread::sleep(ACCEPT_POLL),
-            }
-        }
-    }
-
-    /// Runs one connection's request/response loop until the peer closes,
-    /// the stream desynchronizes, or shutdown is requested. Each frame is
-    /// answered in the wire version it arrived in.
-    fn serve_connection(&self, mut stream: TcpStream) {
-        let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-        let _ = stream.set_nodelay(true);
-        let mut last_activity = Instant::now();
-        while !self.shutdown_requested() {
-            let payload = match read_frame(&mut stream) {
-                Ok(Some(payload)) => payload,
-                // Peer closed between frames.
-                Ok(None) => return,
-                // Read timeout: enforce the idle deadline, else loop to
-                // re-check the shutdown flag.
-                Err(WireError::Io(e))
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if let Some(deadline) = self.config.read_deadline {
-                        if last_activity.elapsed() >= deadline {
-                            return;
-                        }
-                    }
-                    continue;
-                }
-                // Socket died.
-                Err(WireError::Io(_)) => return,
-                // Unframeable bytes: report, then drop the connection (a
-                // bad length prefix means the stream is desynchronized).
-                Err(WireError::Frame(e)) => {
-                    ServeStats::add(&self.default.stats().protocol_errors, 1);
-                    metrics().protocol_errors.inc();
-                    let _ = write_frame(&mut stream, &encode_response(&frame_err(&e)));
-                    return;
-                }
-            };
-            last_activity = Instant::now();
-            metrics().bytes_read.add(4 + payload.len() as u64);
-            let _span = afforest_obs::span!("serve-request");
-            // A malformed payload inside a well-delimited frame keeps the
-            // stream in sync: answer Err and keep going.
-            let (encoded, done) = match decode_request_traced(&payload) {
-                Ok((version, tenant, ctx, req)) => {
-                    // One root span per frame: children recorded while it
-                    // is open (queue pushes, the engine's writer stages)
-                    // hang off it, and the whole tree is retained only if
-                    // the request was slow or degraded (tail sampling).
-                    let root = RootSpan::begin(ctx, Stage::ShardRequest);
-                    let _trace_scope = reqtrace::scoped(root.ctx());
-                    let resp = self.handle_for(&tenant, &req);
-                    if matches!(
-                        resp,
-                        Response::Err(_) | Response::Overloaded { .. } | Response::Degraded(_)
-                    ) {
-                        root.force_retain();
-                    }
-                    let done = matches!(resp, Response::Bye);
-                    let encoded = match version {
-                        WireVersion::V1 => encode_response(&resp),
-                        WireVersion::V2 => encode_response_v2(&resp),
-                    };
-                    (encoded, done)
-                }
-                Err(e) => {
-                    ServeStats::add(&self.default.stats().protocol_errors, 1);
-                    metrics().protocol_errors.inc();
-                    (encode_response(&frame_err(&e)), false)
-                }
-            };
-            // Chaos: tear the response frame mid-write. A torn frame
-            // desynchronizes the stream, so the connection dies with it —
-            // exactly what a crashed server looks like to the client.
-            if let Some(f) = self.config.faults.as_deref() {
-                if let Some(keep) = f.on_frame(4 + encoded.len()) {
-                    let mut framed = (encoded.len() as u32).to_le_bytes().to_vec();
-                    framed.extend_from_slice(&encoded);
-                    let _ = stream.write_all(&framed[..keep]);
-                    metrics().bytes_written.add(keep as u64);
-                    return;
-                }
-            }
-            if write_frame(&mut stream, &encoded).is_err() {
-                return;
-            }
-            metrics().bytes_written.add(4 + encoded.len() as u64);
-            if done {
-                return;
-            }
-        }
+        net::serve(self, listener, workers)
     }
 
     /// Stops every tenant's writer (applying any still-queued edges
@@ -565,6 +408,32 @@ impl Server {
         for engine in self.registry.engines() {
             engine.join_writer();
         }
+    }
+}
+
+impl Handler for Server {
+    const THREAD_NAME: &'static str = "afforest-serve-worker";
+    const ROOT_STAGE: Stage = Stage::ShardRequest;
+    const DECODE_STAGE: Option<Stage> = None;
+
+    fn handle_for(&self, tenant: &TenantId, req: &Request) -> Response {
+        Server::handle_for(self, tenant, req)
+    }
+
+    fn shutdown_requested(&self) -> bool {
+        Server::shutdown_requested(self)
+    }
+
+    fn read_deadline(&self) -> Option<Duration> {
+        self.config.read_deadline
+    }
+
+    fn faults(&self) -> Option<&crate::faults::FaultPlan> {
+        self.config.faults.as_deref()
+    }
+
+    fn count_protocol_error(&self) {
+        ServeStats::add(&self.default.stats().protocol_errors, 1);
     }
 }
 
@@ -590,10 +459,6 @@ fn open_tenant_wal(
         root.join(tenant.as_str())
     };
     Ok(Some(Wal::open(&dir, vertices, config.wal_snapshot_every)?))
-}
-
-fn frame_err(e: &FrameError) -> Response {
-    Response::Err(e.to_string())
 }
 
 #[cfg(test)]

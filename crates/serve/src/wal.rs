@@ -31,7 +31,7 @@ use afforest_core::{IncrementalCc, InvalidParents};
 use afforest_graph::io::{checksum64, read_node_array, write_node_array};
 use afforest_graph::Node;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -205,17 +205,7 @@ impl Wal {
     /// fsync; surviving power loss would (documented trade-off, DESIGN.md
     /// §11).
     pub fn append(&mut self, edges: &[(Node, Node)]) -> Result<AppendOutcome, WalError> {
-        let mut payload = Vec::with_capacity(5 + edges.len() * 8);
-        payload.push(TAG_EDGE_BATCH);
-        payload.extend_from_slice(&(edges.len() as u32).to_le_bytes());
-        for &(u, v) in edges {
-            payload.extend_from_slice(&u.to_le_bytes());
-            payload.extend_from_slice(&v.to_le_bytes());
-        }
-        let mut record = Vec::with_capacity(12 + payload.len());
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&checksum64(&payload).to_le_bytes());
-        record.extend_from_slice(&payload);
+        let record = encode_record(edges);
 
         let fault = self
             .faults
@@ -342,46 +332,14 @@ pub fn recover(dir: &Path, seed_edges: &[(Node, Node)]) -> Result<Recovery, WalE
     // Replay until EOF or the first bad record.
     let mut reader = BufReader::new(&file);
     reader.seek(SeekFrom::Start(HEADER_LEN))?;
-    let mut good_end = HEADER_LEN;
     let mut batches = 0u64;
     let mut edges = 0u64;
-    let mut clean_eof = false;
-    loop {
-        let mut prefix = [0u8; 12];
-        match read_exact_or_eof(&mut reader, &mut prefix)? {
-            ReadOutcome::Eof => {
-                clean_eof = true;
-                break;
-            }
-            ReadOutcome::Partial => break,
-            ReadOutcome::Full => {}
-        }
-        // PANIC-OK: `prefix` is a 12-byte array; both subranges and the
-        // slice-to-array conversions are statically in range.
-        let len = u32::from_le_bytes(prefix[0..4].try_into().expect("4-byte slice")) as usize;
-        // PANIC-OK: same 12-byte array, see above.
-        let declared_sum = u64::from_le_bytes(prefix[4..12].try_into().expect("8-byte slice"));
-        if !(5..=MAX_RECORD_LEN).contains(&len) {
-            break;
-        }
-        let mut payload = vec![0u8; len];
-        if !matches!(
-            read_exact_or_eof(&mut reader, &mut payload)?,
-            ReadOutcome::Full
-        ) {
-            break;
-        }
-        if checksum64(&payload) != declared_sum {
-            break;
-        }
-        let Some(batch) = decode_batch(&payload, n) else {
-            break;
-        };
+    let (good_len, clean_eof) = read_records(&mut reader, n, |batch| {
         cc.insert_batch(&batch);
         batches += 1;
         edges += batch.len() as u64;
-        good_end += 12 + len as u64;
-    }
+    })?;
+    let good_end = HEADER_LEN + good_len;
     drop(reader);
 
     let truncated = !clean_eof;
@@ -450,6 +408,64 @@ pub fn tenant_dirs(root: &Path) -> Vec<(String, PathBuf)> {
     found
 }
 
+/// Encodes one edge batch as a log record,
+/// `[u32 len][u64 fnv1a(payload)][payload]` with payload
+/// `0x01, u32 count, count * (u32, u32)`, all little-endian. The WAL and
+/// the shard router's park logs share this format.
+pub fn encode_record(edges: &[(Node, Node)]) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(5 + edges.len() * 8);
+    payload.push(TAG_EDGE_BATCH);
+    payload.extend_from_slice(&(edges.len() as u32).to_le_bytes());
+    for &(u, v) in edges {
+        payload.extend_from_slice(&u.to_le_bytes());
+        payload.extend_from_slice(&v.to_le_bytes());
+    }
+    let mut record = Vec::with_capacity(12 + payload.len());
+    record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    record.extend_from_slice(&checksum64(&payload).to_le_bytes());
+    record.extend_from_slice(&payload);
+    record
+}
+
+/// Reads [`encode_record`] records from `r` in order, handing each
+/// batch to `each`, until a clean end or the first bad record (torn,
+/// oversized, checksum mismatch, malformed payload, or an id outside
+/// `0..n`). Returns the byte length of the good prefix and whether the
+/// records ended cleanly; a caller truncates to that length otherwise.
+///
+/// Total over arbitrary bytes: IO errors propagate, nothing panics.
+pub fn read_records(
+    r: &mut impl BufRead,
+    n: usize,
+    mut each: impl FnMut(Vec<(Node, Node)>),
+) -> io::Result<(u64, bool)> {
+    let mut good = 0u64;
+    while !r.fill_buf()?.is_empty() {
+        let mut prefix = [0u8; 12];
+        if !read_full(r, &mut prefix)? {
+            return Ok((good, false));
+        }
+        // PANIC-OK: `prefix` is a 12-byte array; both subranges and the
+        // slice-to-array conversions are statically in range.
+        let len = u32::from_le_bytes(prefix[0..4].try_into().expect("4-byte slice")) as usize;
+        // PANIC-OK: same 12-byte array, see above.
+        let declared_sum = u64::from_le_bytes(prefix[4..12].try_into().expect("8-byte slice"));
+        if !(5..=MAX_RECORD_LEN).contains(&len) {
+            return Ok((good, false));
+        }
+        let mut payload = vec![0u8; len];
+        if !read_full(r, &mut payload)? || checksum64(&payload) != declared_sum {
+            return Ok((good, false));
+        }
+        let Some(batch) = decode_batch(&payload, n) else {
+            return Ok((good, false));
+        };
+        each(batch);
+        good += 12 + len as u64;
+    }
+    Ok((good, true))
+}
+
 /// Validates the magic and the header checksum, returning the header's
 /// vertex count and leaving the cursor after the header.
 fn read_header(file: &mut File) -> Result<u64, WalError> {
@@ -480,25 +496,14 @@ fn read_header(file: &mut File) -> Result<u64, WalError> {
     Ok(n)
 }
 
-enum ReadOutcome {
-    Full,
-    Partial,
-    Eof,
-}
-
-/// Fills `buf` completely (`Full`), hits EOF before any byte (`Eof`), or
-/// hits EOF mid-buffer (`Partial`). IO errors propagate.
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<ReadOutcome> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        // PANIC-OK: `filled < buf.len()` loop bound keeps the range valid.
-        match r.read(&mut buf[filled..])? {
-            0 if filled == 0 => return Ok(ReadOutcome::Eof),
-            0 => return Ok(ReadOutcome::Partial),
-            k => filled += k,
-        }
+/// Fills `buf`, or returns `false` when the input ends first. Other IO
+/// errors propagate.
+fn read_full(r: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
+    match r.read_exact(buf) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(false),
+        Err(e) => Err(e),
     }
-    Ok(ReadOutcome::Full)
 }
 
 /// Decodes an edge-batch payload; `None` on any structural problem

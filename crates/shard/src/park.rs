@@ -3,10 +3,11 @@
 //! When the circuit breaker has a shard open, `InsertEdges` batches
 //! destined for it are *parked* instead of dropped or blocked on: each
 //! batch is kept in order in memory and appended to a per-shard park
-//! log `<root>/park-<k>.log` using the WAL's record format —
-//! `[u32 len][u64 fnv1a checksum][payload]` with an edge-batch payload
-//! of `[0x01][u32 count][count × (u32,u32) LE]`, all ids **shard
-//! local**. When the shard transitions back to Healthy the router
+//! log `<root>/park-<k>.log` in the WAL's record format, through the
+//! WAL's own codec (`afforest_serve::wal::{encode_record,
+//! read_records}`) — `[u32 len][u64 fnv1a checksum][payload]` with an
+//! edge-batch payload of `[0x01][u32 count][count × (u32,u32) LE]`, all
+//! ids **shard local**. When the shard transitions back to Healthy the router
 //! replays the parked batches in arrival order and then clears the
 //! log.
 //!
@@ -26,18 +27,12 @@
 //! flight event, and never holds a park lock across a backend call.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use afforest_graph::io::checksum64;
 use afforest_graph::Node;
-
-/// Payload tag of an edge-batch record (the WAL's value).
-const TAG_EDGE_BATCH: u8 = 0x01;
-
-/// Largest record payload recovery will accept (the WAL's bound).
-const MAX_RECORD_LEN: usize = 1 << 26;
+use afforest_serve::wal::{encode_record, read_records};
 
 /// The park-log file name for shard `k` under the router's state root.
 pub fn park_path(root: &Path, shard: usize) -> PathBuf {
@@ -241,102 +236,23 @@ fn write_replace(path: &Path, bytes: &[u8]) -> std::io::Result<File> {
     Ok(file)
 }
 
-/// Encodes one batch in the WAL record format (see module docs).
-fn encode_record(edges: &[(Node, Node)]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(5 + edges.len() * 8);
-    payload.push(TAG_EDGE_BATCH);
-    payload.extend_from_slice(&(edges.len() as u32).to_le_bytes());
-    for &(u, v) in edges {
-        payload.extend_from_slice(&u.to_le_bytes());
-        payload.extend_from_slice(&v.to_le_bytes());
-    }
-    let mut record = Vec::with_capacity(12 + payload.len());
-    record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    record.extend_from_slice(&checksum64(&payload).to_le_bytes());
-    record.extend_from_slice(&payload);
-    record
-}
-
 /// Reads `n`-bounded batches until EOF or the first bad record, then
 /// truncates the file there. Total over arbitrary file contents.
 fn recover_log(file: &mut File, n: usize) -> std::io::Result<(Vec<Batch>, ParkRecovery)> {
-    let mut bytes = Vec::new();
     file.seek(SeekFrom::Start(0))?;
-    file.read_to_end(&mut bytes)?;
     let mut queue = Vec::new();
     let mut recovery = ParkRecovery::default();
-    let mut at = 0usize;
-    loop {
-        let Some(prefix) = bytes.get(at..at + 12) else {
-            recovery.truncated = at < bytes.len();
-            break;
-        };
-        let len = read_u32(prefix, 0) as usize;
-        let declared = read_u64(prefix, 4);
-        if !(5..=MAX_RECORD_LEN).contains(&len) {
-            recovery.truncated = true;
-            break;
-        }
-        let Some(payload) = bytes.get(at + 12..at + 12 + len) else {
-            recovery.truncated = true;
-            break;
-        };
-        if checksum64(payload) != declared {
-            recovery.truncated = true;
-            break;
-        }
-        let Some(batch) = decode_batch(payload, n) else {
-            recovery.truncated = true;
-            break;
-        };
+    let (good, clean) = read_records(&mut BufReader::new(&*file), n, |batch| {
         recovery.batches += 1;
         recovery.edges += batch.len() as u64;
         queue.push(batch);
-        at += 12 + len;
-    }
-    if recovery.truncated {
-        file.set_len(at as u64)?;
+    })?;
+    recovery.truncated = !clean;
+    if !clean {
+        file.set_len(good)?;
     }
     file.seek(SeekFrom::End(0))?;
     Ok((queue, recovery))
-}
-
-/// Little-endian u32 at `at`; 0 if out of range (callers pre-slice).
-fn read_u32(bytes: &[u8], at: usize) -> u32 {
-    match bytes.get(at..at + 4).map(TryInto::try_into) {
-        Some(Ok(arr)) => u32::from_le_bytes(arr),
-        _ => 0,
-    }
-}
-
-/// Little-endian u64 at `at`; 0 if out of range (callers pre-slice).
-fn read_u64(bytes: &[u8], at: usize) -> u64 {
-    match bytes.get(at..at + 8).map(TryInto::try_into) {
-        Some(Ok(arr)) => u64::from_le_bytes(arr),
-        _ => 0,
-    }
-}
-
-/// Decodes an edge-batch payload whose ids must fall in `0..n`.
-fn decode_batch(payload: &[u8], n: usize) -> Option<Vec<(Node, Node)>> {
-    if payload.first() != Some(&TAG_EDGE_BATCH) {
-        return None;
-    }
-    let count = read_u32(payload.get(1..5)?, 0) as usize;
-    let body = payload.get(5..)?;
-    if body.len() != count * 8 {
-        return None;
-    }
-    let mut edges = Vec::with_capacity(count);
-    for pair in body.chunks_exact(8) {
-        let u = read_u32(pair, 0);
-        let v = read_u32(pair, 4);
-        if u as usize >= n || v as usize >= n {
-            return None;
-        }
-        edges.push((u, v));
-    }
-    Some(edges)
 }
 
 #[cfg(test)]

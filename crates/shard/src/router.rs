@@ -32,19 +32,17 @@
 //! shard stays away. Answers are therefore eventually consistent with
 //! the same lag a single engine's epoch snapshots already have.
 
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use afforest_graph::Node;
-use afforest_obs::reqtrace::{self, RootSpan, Stage, StageSpan};
+use afforest_obs::registry::Hist;
+use afforest_obs::reqtrace::{self, Stage, StageSpan};
 use afforest_serve::events::{self, EventKind};
-use afforest_serve::protocol::{
-    decode_request_traced, encode_response, encode_response_v2, read_frame, write_frame,
-};
-use afforest_serve::{Request, Response, ServeError, StatsReport, WireError, WireVersion};
+use afforest_serve::net::{self, Handler};
+use afforest_serve::{Request, Response, ServeError, StatsReport, TenantId};
 
 use crate::backend::{ShardBackend, ShardUnavailable};
 use crate::boundary::BoundaryStore;
@@ -53,14 +51,6 @@ use crate::health::{Gate, HealthConfig, HealthTracker, Transition};
 use crate::metrics::{router_metrics, RouterMetrics};
 use crate::park::ParkSet;
 use crate::plan::ShardPlan;
-
-/// How long a blocked worker sleeps between accept attempts / shutdown
-/// checks.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
-
-/// Per-connection read timeout, so a parked reader re-checks the
-/// shutdown flag.
-const READ_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// A protocol-compatible front-end routing requests across shards.
 pub struct Router<B: ShardBackend> {
@@ -85,7 +75,8 @@ impl<B: ShardBackend> Router<B> {
     /// Builds a router over `backend`'s shards. Registers every router
     /// and per-shard metric series immediately so a `/metrics` scrape
     /// sees them before the first request. `read_deadline` bounds how
-    /// long an idle connection is kept (None keeps it forever). Health
+    /// long an idle connection is kept (None keeps it until its slot is
+    /// needed for a new connection). Health
     /// thresholds default ([`HealthConfig::default`]) and parking is
     /// in-memory; see [`Router::with_health_config`] and
     /// [`Router::with_park`].
@@ -165,11 +156,6 @@ impl<B: ShardBackend> Router<B> {
     /// The parked-write queues.
     pub fn park(&self) -> &ParkSet {
         &self.park
-    }
-
-    /// Whether a `Shutdown` request has been received.
-    pub fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
     }
 
     /// Requests shutdown (same effect as a `Shutdown` frame).
@@ -638,128 +624,36 @@ impl<B: ShardBackend> Router<B> {
         *g = Some(c);
     }
 
-    /// Serves `listener` with a pool of `workers` accept threads until
-    /// a `Shutdown` request arrives. Mirrors the standalone server's
-    /// TCP front-end (same polling accept, same per-version answers).
+    /// Serves `listener` with `workers` connection slots until a
+    /// `Shutdown` request arrives — the standalone server's TCP
+    /// front-end ([`afforest_serve::net`]).
     pub fn serve_tcp(&self, listener: TcpListener, workers: usize) -> Result<(), ServeError> {
-        listener.set_nonblocking(true)?;
-        let mut spawn_failed = false;
-        thread::scope(|s| {
-            for i in 0..workers.max(1) {
-                let listener = &listener;
-                let spawned = thread::Builder::new()
-                    .name(format!("afforest-router-worker-{i}"))
-                    .spawn_scoped(s, move || self.accept_loop(listener));
-                if spawned.is_err() {
-                    spawn_failed = true;
-                    self.request_shutdown();
-                    break;
-                }
-            }
-        });
-        if spawn_failed {
-            return Err(ServeError::Spawn {
-                what: "router worker",
-            });
-        }
-        Ok(())
+        net::serve(self, listener, workers)
+    }
+}
+
+impl<B: ShardBackend> Handler for Router<B> {
+    const THREAD_NAME: &'static str = "afforest-router-worker";
+    const ROOT_STAGE: Stage = Stage::RouterRequest;
+    const DECODE_STAGE: Option<Stage> = Some(Stage::RouterDecode);
+
+    /// The router has exactly one logical tenant namespace; the v2
+    /// tenant field is accepted and ignored so multi-tenant clients can
+    /// point at a router unchanged.
+    fn handle_for(&self, _tenant: &TenantId, req: &Request) -> Response {
+        self.handle(req)
     }
 
-    fn accept_loop(&self, listener: &TcpListener) {
-        while !self.shutdown_requested() {
-            match listener.accept() {
-                Ok((stream, _peer)) => self.serve_connection(stream),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-                Err(_) => thread::sleep(ACCEPT_POLL),
-            }
-        }
+    fn shutdown_requested(&self) -> bool {
+        self.shutdown.load(Ordering::Relaxed)
     }
 
-    /// Runs one connection's request/response loop until the peer
-    /// closes, the stream desynchronizes, or shutdown is requested.
-    /// Each frame is answered in the wire version it arrived in.
-    fn serve_connection(&self, mut stream: TcpStream) {
-        let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-        let _ = stream.set_nodelay(true);
-        let mut last_activity = Instant::now();
-        while !self.shutdown_requested() {
-            let payload = match read_frame(&mut stream) {
-                Ok(Some(payload)) => payload,
-                Ok(None) => return,
-                Err(WireError::Io(e))
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if let Some(deadline) = self.read_deadline {
-                        if last_activity.elapsed() >= deadline {
-                            return;
-                        }
-                    }
-                    continue;
-                }
-                Err(WireError::Io(_)) => return,
-                // Unframeable bytes desynchronize the stream: report,
-                // then drop the connection.
-                Err(WireError::Frame(e)) => {
-                    let err = Response::Err(e.to_string());
-                    let _ = write_frame(&mut stream, &encode_response(&err));
-                    return;
-                }
-            };
-            last_activity = Instant::now();
-            // The router has exactly one logical tenant namespace; the
-            // v2 tenant field is accepted and ignored so multi-tenant
-            // clients can point at a router unchanged.
-            let decode_start = Instant::now();
-            let decoded = decode_request_traced(&payload);
-            let decode_ns = decode_start.elapsed().as_nanos() as u64;
-            let (encoded, done) = match decoded {
-                Ok((version, _tenant, ctx, req)) => {
-                    // The root spans the whole request at the router;
-                    // decode is recorded retroactively because the trace
-                    // context is only known once decode succeeds.
-                    let root = RootSpan::begin(ctx, Stage::RouterRequest);
-                    let _trace_scope = reqtrace::scoped(root.ctx());
-                    reqtrace::record(
-                        root.ctx(),
-                        Stage::RouterDecode,
-                        payload.len() as u64,
-                        reqtrace::now_us().saturating_sub(decode_ns / 1_000),
-                        decode_ns,
-                    );
-                    let resp = self.handle(&req);
-                    if matches!(
-                        resp,
-                        Response::Err(_) | Response::Overloaded { .. } | Response::Degraded(_)
-                    ) {
-                        root.force_retain();
-                    }
-                    let done = matches!(resp, Response::Bye);
-                    let encoded = match version {
-                        WireVersion::V1 => encode_response(&resp),
-                        WireVersion::V2 => encode_response_v2(&resp),
-                    };
-                    self.metrics.latency.record_traced(
-                        decode_start.elapsed().as_nanos() as u64,
-                        if root.sampled() {
-                            root.ctx().trace_id
-                        } else {
-                            0
-                        },
-                    );
-                    (encoded, done)
-                }
-                Err(e) => (encode_response(&Response::Err(e.to_string())), false),
-            };
-            if write_frame(&mut stream, &encoded).is_err() {
-                return;
-            }
-            if done {
-                return;
-            }
-        }
+    fn latency(&self) -> Option<&Hist> {
+        Some(self.metrics.latency)
+    }
+
+    fn read_deadline(&self) -> Option<Duration> {
+        self.read_deadline
     }
 }
 
@@ -770,6 +664,7 @@ mod tests {
     use crate::health::HealthState;
     use afforest_serve::ServeConfig;
     use std::sync::atomic::AtomicU64;
+    use std::thread;
 
     fn router(n: usize, shards: usize) -> Router<LocalCluster> {
         let plan = ShardPlan::new(n, shards);

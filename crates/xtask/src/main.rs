@@ -126,7 +126,13 @@ fn run_ci() -> ExitCode {
                 "warnings",
             ],
         ),
-        ("tests", "cargo", &["test", "--workspace", "-q"]),
+        // --no-fail-fast: report every failing test binary, not just
+        // the first one cargo reaches.
+        (
+            "tests",
+            "cargo",
+            &["test", "--workspace", "--no-fail-fast", "-q"],
+        ),
         // Second test pass with the observability runtime compiled in:
         // the obs-gated tests (trace coverage, span emission) only exist
         // there, and it proves the instrumented build stays green.
